@@ -1,6 +1,9 @@
 #include "src/common/cpu.h"
 
 #include <atomic>
+#include <bitset>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -13,6 +16,9 @@
 #include <sched.h>
 #include <unistd.h>
 #endif
+
+#include "src/common/mutex.h"
+#include "src/common/thread_annotations.h"
 
 namespace cuckoo {
 
@@ -122,10 +128,51 @@ bool PinThreadToCpu(int cpu) noexcept {
 #endif
 }
 
+namespace {
+
+// Ids of live threads. Constant-initialized and trivially destructible, so it
+// stays usable while threads exit during process teardown.
+Mutex thread_ids_mu;
+std::bitset<kMaxThreads> thread_ids_used GUARDED_BY(thread_ids_mu);
+int thread_ids_cursor GUARDED_BY(thread_ids_mu) = 0;
+
+// Holds the calling thread's id: takes the next free one on first use and
+// frees it when the thread exits, so a long-lived process that keeps
+// creating threads never hands one id to two live threads. Next-fit rather
+// than lowest-free, so an id just freed is the last one handed out again.
+struct ThreadIdSlot {
+  int id;
+
+  ThreadIdSlot() : id(-1) {
+    MutexLock lock(thread_ids_mu);
+    for (int n = 0; n < kMaxThreads; ++n) {
+      const int i = (thread_ids_cursor + n) % kMaxThreads;
+      if (!thread_ids_used[static_cast<std::size_t>(i)]) {
+        thread_ids_used[static_cast<std::size_t>(i)] = true;
+        thread_ids_cursor = (i + 1) % kMaxThreads;
+        id = i;
+        return;
+      }
+    }
+    std::fprintf(stderr,
+                 "cuckoo: more than %d threads are live at once; CurrentThreadId() "
+                 "cannot give each its own id (raise kMaxThreads)\n",
+                 kMaxThreads);
+    std::abort();
+  }
+  ~ThreadIdSlot() {
+    MutexLock lock(thread_ids_mu);
+    thread_ids_used[static_cast<std::size_t>(id)] = false;
+  }
+  ThreadIdSlot(const ThreadIdSlot&) = delete;
+  ThreadIdSlot& operator=(const ThreadIdSlot&) = delete;
+};
+
+}  // namespace
+
 int CurrentThreadId() noexcept {
-  static std::atomic<int> next_id{0};
-  thread_local int id = next_id.fetch_add(1, std::memory_order_relaxed) % kMaxThreads;
-  return id;
+  thread_local ThreadIdSlot slot;
+  return slot.id;
 }
 
 }  // namespace cuckoo

@@ -45,8 +45,11 @@ int NumOnlineCpus() noexcept;
 // Returns false if the affinity call failed.
 bool PinThreadToCpu(int cpu) noexcept;
 
-// A small dense id for the calling thread, assigned on first use.
-// Ids start at 0 and never exceed kMaxThreads - 1 (they wrap by then).
+// A small dense id for the calling thread, assigned on first use: the next
+// id no live thread holds. A thread's id is freed when it exits, so
+// ids stay in [0, kMaxThreads) and no two live threads share one however
+// many threads a process creates over its life. Aborts with a message if
+// more than kMaxThreads threads that called it are live at once.
 inline constexpr int kMaxThreads = 256;
 int CurrentThreadId() noexcept;
 

@@ -310,12 +310,22 @@ class CuckooMap {
     size_.Reset();
   }
 
-  // Approximate heap usage: live core + stripes + retired cores kept for
-  // reader safety (see class comment).
+  // Approximate heap usage: live core + stripes. Retired cores stay mapped
+  // but their pages are returned to the kernel, so they are not counted.
   std::size_t HeapBytes() const noexcept {
-    std::size_t bytes = core_.load(std::memory_order_acquire)->HeapBytes() +
-                        stripes_.stripe_count() * sizeof(PaddedVersionLock);
-    return bytes + retired_bytes_.load(std::memory_order_relaxed);
+    return core_.load(std::memory_order_acquire)->HeapBytes() +
+           stripes_.stripe_count() * sizeof(PaddedVersionLock);
+  }
+
+  // Resident bytes of superseded cores (PageBlock::ResidentBytes). Only
+  // heap-backed small cores and pages a stale reader touched stay resident.
+  std::size_t RetiredResidentBytes() const {
+    MutexLock maintenance(maintenance_mutex_);
+    std::size_t bytes = 0;
+    for (const auto& core : retired_) {
+      bytes += core->ResidentBytes();
+    }
+    return bytes;
   }
 
   // ----- Introspection -----------------------------------------------------
@@ -725,32 +735,34 @@ class CuckooMap {
       ++new_log2;
     }
     ++new_log2;
-    // First-attempt core allocated (and zeroed) before the stripes are
-    // taken: the multi-MB clear is the bulk of a large expansion's wall time
-    // and must not extend the writer-visible pause. (Retry allocations after
-    // a failed rehash are rare enough to stay inside.)
+    // First-attempt core allocated and populated before the stripes are
+    // taken, so neither the allocation nor its page faults extend the
+    // writer-visible pause. (Retry allocations after a failed rehash are
+    // rare enough to stay inside.)
     auto fresh = std::make_unique<Core>(new_log2, opts_.hugepages);
+    fresh->Populate();
     CUCKOO_TEST_POINT(TestPoint::kExpansionCoreAllocated);
     // Expansion pause = the full-table lock hold: every writer (and locked
     // reader) is stalled from here until the stripes release.
     const std::uint64_t pause_start = NowNanos();
-    AllGuard all(stripes_);
     Core* old_core = core_.load(std::memory_order_relaxed);
-
-    for (;;) {
-      if (RehashInto(*old_core, *fresh)) {
-        retired_bytes_.fetch_add(old_core->HeapBytes(), std::memory_order_relaxed);
-        retired_.emplace_back(old_core);
-        stats_.SetHugepageBytes(fresh->hugepage_bytes());
-        core_.store(fresh.release(), std::memory_order_release);
-        stats_.RecordExpansion();
-        stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
-        return;
-      }
+    {
+      AllGuard all(stripes_);
       // Rehash failed (pathological collisions): the partially filled core
       // holds copies, so just drop it and retry one size larger.
-      fresh = std::make_unique<Core>(++new_log2, opts_.hugepages);
+      while (!RehashInto(*old_core, *fresh)) {
+        fresh = std::make_unique<Core>(++new_log2, opts_.hugepages);
+      }
+      retired_.emplace_back(old_core);
+      stats_.SetHugepageBytes(fresh->hugepage_bytes());
+      core_.store(fresh.release(), std::memory_order_release);
+      stats_.RecordExpansion();
+      stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
     }
+    // Outside the pause: every locked path revalidates core_ before touching
+    // a bucket, and a stale optimistic reader that reads zeros fails its
+    // core_ check like one that reads the old bytes.
+    old_core->Decommit();
   }
 
   bool RehashInto(const Core& from, Core& to) REQUIRES(stripes_) {
@@ -780,13 +792,13 @@ class CuckooMap {
   mutable LockStripes stripes_;
   std::atomic<Core*> core_;
   // Serializes expansion / Clear / LockedView creation against each other.
-  Mutex maintenance_mutex_;
-  // Old cores are kept until destruction: an optimistic reader may still be
-  // dereferencing one (its version validation will fail and it will retry,
-  // but the bytes must remain mapped). Bounded by a geometric series — total
-  // retired bytes are at most the live core's size.
+  mutable Mutex maintenance_mutex_;
+  // Old cores are kept mapped until destruction, with their pages returned
+  // to the kernel: an optimistic reader may still be dereferencing one (its
+  // validation will fail and it will retry, but the address must remain
+  // mapped). Their address space is bounded by a geometric series — at most
+  // the live core's size.
   std::vector<std::unique_ptr<Core>> retired_ GUARDED_BY(maintenance_mutex_);
-  std::atomic<std::size_t> retired_bytes_{0};
   PerThreadCounter size_;
   mutable MapStats stats_;
 };

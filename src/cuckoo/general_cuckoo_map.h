@@ -13,14 +13,18 @@
 //   * every operation (including Find) takes the bucket-pair lock, so there
 //     is no optimistic read protocol and no trivially-copyable requirement;
 //   * displacements move-construct elements bucket-to-bucket;
-//   * old cores are retired (kept allocated but empty) after expansion: the
-//     unlocked BFS path search may still be scanning one; retired cores hold
-//     no live elements (moved out during rehash) and their total size is
-//     bounded by the live core's;
+//   * old cores are retired (kept mapped, pages returned) after expansion:
+//     the unlocked BFS path search may still be scanning one; retired cores
+//     hold no live elements (moved out during rehash), so they are
+//     decommitted at once and a stale reader sees only zero tags; their
+//     address space is bounded by the live core's;
 //   * expansion is incremental when the table is large enough (see Expand):
 //     the doubled core is published lock-free, a background migrator drains
 //     the old core bucket-by-bucket under the ordinary stripe locks, writers
-//     piggyback-migrate the buckets they touch, and operations consult both
+//     piggyback-migrate the buckets they touch and, when the migrator falls
+//     behind one drained bucket per inserted element, drain the deficit
+//     themselves (so a window closes within a bounded number of inserts
+//     even when the migrator is starved), and operations consult both
 //     cores (live first, then the draining one) until a per-bucket migrated
 //     bitmap says the old bucket is permanently empty. The protocol relies on
 //     a stripe-alignment invariant: when old_bucket_count is a multiple of
@@ -73,15 +77,17 @@ namespace internal {
 // per-slot with placement new; the owner must destroy occupied slots before
 // the core is released (the destructor asserts nothing is leaked in debug).
 //
-// Storage is a PageBlock (anonymous mmap for large cores, optionally with
-// 2 MB huge-page backing) on purpose: the kernel's zero pages ARE the
-// "every slot empty" state, so a doubled core materializes in O(1) work and
-// each page is faulted in by the first operation that touches it — not by
-// the one writer whose insert happened to trigger the expansion. (With
-// value-initialized storage, zeroing the x2 array was the dominant term of
-// the expansion stall.) Tags are plain bytes read/written through
-// std::atomic_ref; Bucket stays an implicit-lifetime type, so the zeroed
-// block itself starts the array's lifetime.
+// Storage is a PageBlock (anonymous mmap for cores of kMinMappedBytes and
+// up, optionally with 2 MB huge-page backing) on purpose: the kernel's zero
+// pages ARE the "every slot empty" state, so a doubled core materializes in
+// O(1) work — the one writer whose insert happened to trigger the expansion
+// pays nothing for it, and the migrator then populates the pages in the
+// background. (With value-initialized storage, zeroing the x2 array was the
+// dominant term of the expansion stall.) The same identity lets an emptied,
+// retired core hand its pages back (Decommit) and still read as all-empty.
+// Tags are plain bytes read/written through std::atomic_ref; Bucket stays an
+// implicit-lifetime type, so the zeroed block itself starts the array's
+// lifetime.
 template <typename K, typename V, int B>
 struct GeneralCore {
   static constexpr int kSlotsPerBucket = B;
@@ -109,7 +115,7 @@ struct GeneralCore {
 
   ~GeneralCore() {
     // Trivially destructible slots need no per-slot teardown, and skipping
-    // the walk means a never-touched (calloc-lazy) region is never faulted
+    // the walk means a never-touched (mmap-lazy) region is never faulted
     // in just to be freed.
     if constexpr (!(std::is_trivially_destructible_v<K> &&
                     std::is_trivially_destructible_v<V>)) {
@@ -124,6 +130,13 @@ struct GeneralCore {
 
   // Bytes granted MADV_HUGEPAGE backing (0 unless requested and honored).
   std::size_t hugepage_bytes() const noexcept { return block_.hugepage_bytes(); }
+
+  // Return the bucket array's pages to the kernel (see PageBlock::Decommit).
+  // Only for an empty core: a decommitted core reads as all-empty, so any
+  // element still placed in it would be lost without its destructor running.
+  void Decommit() noexcept { block_.Decommit(); }
+  void Populate() noexcept { block_.Populate(); }
+  std::size_t ResidentBytes() const { return block_.ResidentBytes(); }
 
   std::atomic_ref<std::uint8_t> TagRef(std::size_t bucket, int slot) const noexcept {
     return std::atomic_ref<std::uint8_t>(buckets[bucket].tags[slot]);
@@ -485,11 +498,31 @@ class GeneralCuckooMap {
     MutexLock g(maintenance_mutex_);
     return static_cast<double>(Size()) / static_cast<double>(core_->slot_count());
   }
+  // Committed bytes: the live core, the draining core while its window is
+  // open (the migrator decommits it before announcing completion), and the
+  // stripes. Retired cores are mapped but hold no pages.
   std::size_t HeapBytes() const noexcept {
     MutexLock g(maintenance_mutex_);
-    return core_->HeapBytes() +
-           (draining_core_ != nullptr ? draining_core_->HeapBytes() : 0) +
+    const bool draining = draining_core_ != nullptr &&
+                          !migration_state_->complete.load(std::memory_order_acquire);
+    return core_->HeapBytes() + (draining ? draining_core_->HeapBytes() : 0) +
            stripes_.stripe_count() * sizeof(PaddedVersionLock);
+  }
+
+  // Resident bytes of superseded cores (PageBlock::ResidentBytes): every
+  // retired core, plus the draining core once its window has closed. Only
+  // heap-backed small cores and pages a stale reader touched stay resident.
+  std::size_t RetiredResidentBytes() const {
+    MutexLock g(maintenance_mutex_);
+    std::size_t bytes = 0;
+    for (const auto& core : retired_) {
+      bytes += core->ResidentBytes();
+    }
+    if (draining_core_ != nullptr &&
+        migration_state_->complete.load(std::memory_order_acquire)) {
+      bytes += draining_core_->ResidentBytes();
+    }
+    return bytes;
   }
 
   void Reserve(std::size_t n) {
@@ -513,6 +546,7 @@ class GeneralCuckooMap {
       // and retire the old one (stale readers may still probe it — they find
       // only zero tags).
       draining_core_->DestroyAll();
+      draining_core_->Decommit();
       retired_.push_back(std::move(draining_core_));
       retired_migrations_.push_back(std::move(migration_state_));
     }
@@ -633,13 +667,17 @@ class GeneralCuckooMap {
 
   // State of one incremental expansion: the old core being drained, the live
   // core that replaced it, and a bitmap recording which old buckets are
-  // permanently empty. Retired (kept allocated) after the window closes, like
-  // retired_ cores: a stale reader may still hold the pointer it loaded from
-  // migration_ and probe the bitmap or the old core's tags.
+  // permanently empty. Retired (kept allocated; it is small) after the window
+  // closes: a stale reader may still hold the pointer it loaded from
+  // migration_ and probe the bitmap or the old core's tags (mapped, pages
+  // returned, so they read as zero).
   struct MigrationState {
     Core* old_core;
     Core* new_core;
     std::size_t old_bucket_count;
+    // Size() when the window opened; growth past it paces the drain (see
+    // PaceMigration).
+    std::size_t size_at_open;
     // One bit per old-core bucket, set once the bucket is permanently empty.
     // All transitions (and the tag stores they summarize) happen under the
     // bucket's stripe lock, so relaxed accesses are ordered by the lock;
@@ -647,15 +685,18 @@ class GeneralCuckooMap {
     // redundant probe of an empty bucket.
     std::unique_ptr<std::atomic<std::uint64_t>[]> migrated_words;
     std::atomic<std::size_t> buckets_done{0};
-    // Round-robin cursor handing out help-drain chunks to writers.
+    // Round-robin cursor handing out help-drain buckets to writers, from the
+    // top down: the migrator walks up from bucket 0, so writers that help
+    // drain buckets it has not reached instead of skipping ones it has.
     std::atomic<std::size_t> help_cursor{0};
     std::atomic<bool> cancel{false};
     std::atomic<bool> complete{false};
 
-    MigrationState(Core* old_c, Core* new_c)
+    MigrationState(Core* old_c, Core* new_c, std::size_t size)
         : old_core(old_c),
           new_core(new_c),
           old_bucket_count(old_c->bucket_count()),
+          size_at_open(size),
           migrated_words(new std::atomic<std::uint64_t>[(old_bucket_count + 63) / 64]) {
       for (std::size_t w = 0; w < (old_bucket_count + 63) / 64; ++w) {
         migrated_words[w].store(0, std::memory_order_relaxed);
@@ -823,6 +864,9 @@ class GeneralCuckooMap {
             return std::nullopt;
           });
       if (fast.has_value()) {
+        if (*fast == InsertResult::kOk) {
+          PaceMigration();
+        }
         return *fast;
       }
 
@@ -919,11 +963,11 @@ class GeneralCuckooMap {
       stripes_.LockStripe(s);
       stripes_.UnlockStripeNoModify(s);
     }
-    if (!WalkCoreBuckets(core, core, epoch, fn, lock_retries, stats)) {
+    if (!WalkCoreBuckets(core, core, nullptr, epoch, fn, lock_retries, stats)) {
       return false;
     }
     if (ms != nullptr &&
-        !WalkCoreBuckets(ms->old_core, core, epoch, fn, lock_retries, stats)) {
+        !WalkCoreBuckets(ms->old_core, core, ms, epoch, fn, lock_retries, stats)) {
       return false;
     }
     return true;
@@ -934,17 +978,27 @@ class GeneralCuckooMap {
   // images, so the per-stripe discipline covers both). `live` anchors the
   // validity checks: if core_snapshot_ moves off it, or a force-finished
   // migration bumps the epoch (bulk moves that bypass the displacement log),
-  // the walk aborts and the snapshot retries.
+  // the walk aborts and the snapshot retries. `window` is the migration the
+  // draining core belongs to (nullptr for the live core); once it has fully
+  // drained, the walk of that core ends early.
   // Excluded from thread-safety analysis: the single-stripe walk (TryLock
   // retry loop with a blocking-Lock fallback, then an early-return unlock
   // path) is exactly the conditional-acquisition control flow the analysis
   // cannot join; the stripe-order runtime checks cover it instead.
   template <typename Fn>
-  bool WalkCoreBuckets(Core* target, Core* live, std::uint64_t epoch, Fn& fn,
-                       int lock_retries, SnapshotWalkStats* stats) const
-      NO_THREAD_SAFETY_ANALYSIS {
+  bool WalkCoreBuckets(Core* target, Core* live, const MigrationState* window,
+                       std::uint64_t epoch, Fn& fn, int lock_retries,
+                       SnapshotWalkStats* stats) const NO_THREAD_SAFETY_ANALYSIS {
     std::vector<std::pair<K, V>> copies;
     for (std::size_t b = 0; b < target->bucket_count(); ++b) {
+      if (window != nullptr && migration_.load(std::memory_order_acquire) != window &&
+          !window->cancel.load(std::memory_order_acquire)) {
+        // The window closed by draining (a canceled one is Clear's business):
+        // every old bucket is empty, and each element that left one after
+        // the walk began was logged, so the rest of the draining core has
+        // nothing to emit (its pages may already be gone).
+        return true;
+      }
       ++stats->buckets;
       const std::size_t stripe = stripes_.StripeFor(b);
       // Optimistic empty check: tag bytes are atomics, readable lock-free;
@@ -1010,7 +1064,7 @@ class GeneralCuckooMap {
       // A window is already open; the table has already doubled. Contribute a
       // bounded chunk of drain work as backpressure, then let the caller
       // retry against the live core.
-      HelpDrain();
+      HelpDrain(opts_.help_drain_buckets);
       return;
     }
     {
@@ -1030,7 +1084,7 @@ class GeneralCuckooMap {
       }
       // A window opened while we waited for the mutex; fall through to help.
     }
-    HelpDrain();
+    HelpDrain(opts_.help_drain_buckets);
   }
 
   bool IncrementalEligibleLocked() const REQUIRES(maintenance_mutex_) {
@@ -1052,12 +1106,12 @@ class GeneralCuckooMap {
   // itself.
   void StartIncrementalLocked() REQUIRES(maintenance_mutex_) {
     assert(!migrator_.joinable());
-    // The fresh core (the expensive multi-MB zeroing) is allocated before
-    // anything is published.
+    // The fresh core is allocated before anything is published (a fresh
+    // mapping for large cores: O(1); the migrator populates it).
     auto fresh = std::make_unique<Core>(CoreLog2(*core_) + 1, opts_.hugepages);
     CUCKOO_TEST_POINT(TestPoint::kExpansionCoreAllocated);
     const std::uint64_t pause_start = NowNanos();
-    migration_state_ = std::make_unique<MigrationState>(core_.get(), fresh.get());
+    migration_state_ = std::make_unique<MigrationState>(core_.get(), fresh.get(), Size());
     draining_core_ = std::move(core_);
     core_ = std::move(fresh);
     stats_.SetHugepageBytes(core_->hugepage_bytes());
@@ -1074,48 +1128,49 @@ class GeneralCuckooMap {
   }
 
   void StopTheWorldExpandLocked() REQUIRES(maintenance_mutex_) {
-    // First-attempt core allocated (and zeroed) before the stripes are
-    // taken: the multi-MB clear is the bulk of a large expansion's wall time
-    // and must not extend the writer-visible pause.
+    // First-attempt core allocated and populated before the stripes are
+    // taken, so neither the allocation nor its page faults extend the
+    // writer-visible pause.
     std::size_t new_log2 = CoreLog2(*core_) + 1;
     auto fresh = std::make_unique<Core>(new_log2, opts_.hugepages);
+    fresh->Populate();
     CUCKOO_TEST_POINT(TestPoint::kExpansionCoreAllocated);
     // Expansion pause = the full-table lock hold: every writer (and locked
     // reader) is stalled from here until the stripes release.
     const std::uint64_t pause_start = NowNanos();
-    AllGuard all(stripes_);
-    for (;;) {
-      if (RehashInto(*core_, *fresh)) {
-        // The old core must stay mapped: an in-flight (unlocked) BFS search
-        // may still be reading its tag bytes. It holds no live elements
-        // (RehashInto destroyed each source slot after moving it), so
-        // retiring it costs only its bucket array.
-        retired_.push_back(std::move(core_));
-        core_ = std::move(fresh);
-        stats_.SetHugepageBytes(core_->hugepage_bytes());
-        core_snapshot_.store(core_.get(), std::memory_order_release);
-        stats_.RecordExpansion();
-        stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
-        return;
-      }
+    {
+      AllGuard all(stripes_);
       // Rehash failed (pathological collisions): recover the moved elements
       // and retry one size larger. The retry allocation happens inside the
       // pause — rare enough that correctness beats accounting here.
-      RecoverFrom(*core_, *fresh);
-      fresh = std::make_unique<Core>(++new_log2, opts_.hugepages);
+      while (!RehashInto(*core_, *fresh)) {
+        RecoverFrom(*core_, *fresh);
+        fresh = std::make_unique<Core>(++new_log2, opts_.hugepages);
+      }
+      // The old core must stay mapped: an in-flight (unlocked) BFS search
+      // may still be reading its tag bytes. It holds no live elements
+      // (RehashInto destroyed each source slot after moving it).
+      retired_.push_back(std::move(core_));
+      core_ = std::move(fresh);
+      stats_.SetHugepageBytes(core_->hugepage_bytes());
+      core_snapshot_.store(core_.get(), std::memory_order_release);
+      stats_.RecordExpansion();
+      stats_.RecordExpansionPauseNanos(NowNanos() - pause_start);
     }
+    // Outside the pause: the retired core is empty, so only its pages go.
+    retired_.back()->Decommit();
   }
 
   // ----- Incremental migration ----------------------------------------------
   //
   // Lifecycle: StartIncrementalLocked publishes the window and spawns
   // MigratorMain, which drains old buckets through the ordinary stripe
-  // locks and finally clears migration_ and sets complete. The next
-  // maintenance operation (Expand, Clear, destruction) joins the thread and
-  // retires the state. The migrator NEVER blocks on maintenance_mutex_
-  // (Clear/destructor join it while holding that mutex) — its one
-  // maintenance-side need, the force-finish fallback, uses TryLock and
-  // honors cancel.
+  // locks and finally clears migration_, decommits the empty old core and
+  // sets complete. The next maintenance operation (Expand, Clear,
+  // destruction) joins the thread and retires the state. The migrator
+  // NEVER blocks on maintenance_mutex_ (Clear/destructor join it while
+  // holding that mutex) — its one maintenance-side need, the force-finish
+  // fallback, uses TryLock and honors cancel.
 
   // Join a finished migrator and retire its state. No-op while the window is
   // still draining.
@@ -1146,22 +1201,40 @@ class GeneralCuckooMap {
   // Background drain: walk every old-core bucket and migrate its residents
   // into the live core under the ordinary bucket-pair locks.
   void MigratorMain(MigrationState* ms) {
+    // Fault the live core in before draining (see PageBlock::Populate), off
+    // the writers' path: most pages then see one write fault, not a read
+    // fault mapping the zero page followed by a write fault and a flush.
+    ms->new_core->Populate();
+    std::size_t drained = 0;
     for (std::size_t b = 0; b < ms->old_bucket_count; ++b) {
+      if (ms->BucketMigrated(b)) {
+        continue;  // a writer drained it: no work, no reason to yield
+      }
       if (!DrainOldBucket(ms, b)) {
         return;  // canceled (Clear/destructor owns cleanup)
       }
       // Background politeness: hand the CPU back every few buckets so a
       // runnable writer on an oversubscribed host waits one drain slice, not
       // a whole scheduler timeslice. Near-free when cores are idle.
-      if ((b & 0xF) == 0xF) {
+      if ((++drained & 0xF) == 0) {
         std::this_thread::yield();
       }
     }
     // Clear the lock-free pointer before announcing completion:
     // ReapMigrationLocked trusts complete => no operation can still need the
     // window honored (stale loads of the state remain harmless — the old
-    // core is empty and stays mapped).
+    // core is empty and stays mapped, with its pages returned).
     migration_.store(nullptr, std::memory_order_release);
+    // Every bucket was seen migrated, some of them through a relaxed bitmap
+    // load; passing each stripe once orders this thread after every critical
+    // section that emptied an old bucket, so no slot teardown is still
+    // reading old-core bytes when the pages go. Critical sections that start
+    // later see every bit set and never touch the old core.
+    for (std::size_t s = 0; s < stripes_.stripe_count(); ++s) {
+      stripes_.LockStripe(s);
+      stripes_.UnlockStripeNoModify(s);
+    }
+    ms->old_core->Decommit();
     ms->complete.store(true, std::memory_order_release);
     stats_.RecordMigrationCompleted();
   }
@@ -1354,18 +1427,36 @@ class GeneralCuckooMap {
     return moved;
   }
 
-  // Expand-time writer backpressure: drain a bounded chunk of old buckets on
-  // the calling thread while the window is open.
-  void HelpDrain() {
+  // Keeps an open window on schedule after a fresh insert: at least one old
+  // bucket drained per element the table grew by since the window opened.
+  // The migrator normally stays ahead and this costs three loads; when it is
+  // starved (writers on every CPU) the inserting thread drains the deficit,
+  // one bucket per insert, so a window closes within about twice
+  // old_bucket_count inserts, long before the live core can fill.
+  void PaceMigration() {
+    MigrationState* ms = migration_.load(std::memory_order_acquire);
+    if (ms == nullptr) {
+      return;
+    }
+    const std::size_t size = Size();
+    if (size > ms->size_at_open &&
+        ms->buckets_done.load(std::memory_order_relaxed) < size - ms->size_at_open) {
+      HelpDrain(1);
+    }
+  }
+
+  // Writer-side drain of up to `buckets` old buckets on the calling thread
+  // while a window is open (Expand-time backpressure, PaceMigration).
+  void HelpDrain(std::size_t buckets) {
     MigrationState* ms = migration_.load(std::memory_order_acquire);
     if (ms == nullptr) {
       return;
     }
     const std::uint64_t t0 = NowNanos();
-    for (std::size_t i = 0;
-         i < opts_.help_drain_buckets && migration_.load(std::memory_order_acquire) == ms;
+    for (std::size_t i = 0; i < buckets && migration_.load(std::memory_order_acquire) == ms;
          ++i) {
       const std::size_t b =
+          ms->old_bucket_count - 1 -
           ms->help_cursor.fetch_add(1, std::memory_order_relaxed) % ms->old_bucket_count;
       if (!DrainOldBucket(ms, b)) {
         break;
@@ -1439,6 +1530,7 @@ class GeneralCuckooMap {
       auto fresh = std::make_unique<Core>(new_log2, opts_.hugepages);
       if (RehashInto(*core_, *fresh)) {
         retired_.push_back(std::move(core_));
+        retired_.back()->Decommit();
         core_ = std::move(fresh);
         stats_.SetHugepageBytes(core_->hugepage_bytes());
         core_snapshot_.store(core_.get(), std::memory_order_release);
@@ -1519,12 +1611,13 @@ class GeneralCuckooMap {
   // Owned core (replacement serialized by maintenance_mutex_) plus a lock-
   // free snapshot pointer operations resolve buckets against.
   std::unique_ptr<Core> core_ GUARDED_BY(maintenance_mutex_);
-  // Superseded cores, kept until destruction (see Expand).
+  // Superseded cores, kept mapped until destruction with their pages
+  // returned to the kernel (see Expand).
   std::vector<std::unique_ptr<Core>> retired_ GUARDED_BY(maintenance_mutex_);
   // Incremental-expansion window: while open, draining_core_ is the old
   // (shrinking) table and migration_state_ tracks per-bucket drain progress.
-  // Like retired_ cores, completed states are kept mapped (a stale reader may
-  // still hold the pointer it loaded from migration_).
+  // Like retired_ cores, completed states are kept until destruction (a stale
+  // reader may still hold the pointer it loaded from migration_).
   std::unique_ptr<Core> draining_core_ GUARDED_BY(maintenance_mutex_);
   std::unique_ptr<MigrationState> migration_state_ GUARDED_BY(maintenance_mutex_);
   std::vector<std::unique_ptr<MigrationState>> retired_migrations_

@@ -88,6 +88,21 @@ struct TableCore {
     return tag_block_.hugepage_bytes() + bucket_block_.hugepage_bytes();
   }
 
+  // Return both arrays' pages to the kernel (see PageBlock::Decommit): the
+  // core stays mapped and reads as all-empty. For retired cores only.
+  void Decommit() noexcept {
+    tag_block_.Decommit();
+    bucket_block_.Decommit();
+  }
+  // Fault both arrays in up front (see PageBlock::Populate).
+  void Populate() noexcept {
+    tag_block_.Populate();
+    bucket_block_.Populate();
+  }
+  std::size_t ResidentBytes() const {
+    return tag_block_.ResidentBytes() + bucket_block_.ResidentBytes();
+  }
+
   std::uint8_t Tag(std::size_t bucket, int slot) const noexcept {
     return std::atomic_ref<std::uint8_t>(tags[bucket * B + static_cast<std::size_t>(slot)])
         .load(std::memory_order_relaxed);

@@ -15,11 +15,10 @@
 //     type exists solely so concurrent Snapshot() readers are race-free
 //     under TSan; readers may observe a slightly stale count, never a torn
 //     one.
-//   * If more than kMaxThreads threads ever run, dense ids wrap and two
-//     threads can share a shard; the non-RMW increment then loses updates.
-//     That is an accepted trade (counts are statistics, not invariants) and
-//     does not corrupt bucket structure: every slot still holds a valid
-//     count that is <= the true count.
+//   * Dense ids are unique among live threads (an exiting thread frees its
+//     id for the next one), so a shard never has two concurrent writers and
+//     counts stay exact under any amount of thread churn. A recycled id
+//     keeps its shard: the new owner adds to the old owner's counts.
 //
 // Snapshot() sums the shards into a HistogramSnapshot — a plain value type
 // that merges associatively (bucket-wise addition), so per-thread, per-shard,
@@ -217,14 +216,10 @@ class Histogram {
     if (shard != nullptr) {
       return shard;
     }
+    // Ids are unique among live threads, so no other thread installs into
+    // this slot; the release half publishes the shard to Snapshot().
     Shard* fresh = new Shard();
-    Shard* expected = nullptr;
-    // Another thread with a wrapped id may have installed first; use theirs.
-    if (!slot.compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      delete fresh;
-      return expected;
-    }
+    slot.exchange(fresh, std::memory_order_acq_rel);
     return fresh;
   }
 

@@ -1,5 +1,7 @@
 #include "src/common/cpu.h"
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -58,6 +60,70 @@ TEST(CpuTest, ThreadIdsDistinctAcrossThreads) {
     EXPECT_GE(id, 0);
     EXPECT_LT(id, kMaxThreads);
   }
+}
+
+// Ids are freed when a thread exits and never shared by two live threads.
+// One thread holds its id while 2 * kMaxThreads + 44 others are created and
+// joined one at a time; a counter modulo kMaxThreads would hand the holder's
+// id to the kMaxThreads-th of them.
+TEST(CpuTest, LiveThreadsNeverShareAnIdAcrossChurn) {
+  constexpr int kChurned = 2 * kMaxThreads + 44;
+  std::atomic<int> holder_id{-1};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    holder_id.store(CurrentThreadId(), std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (holder_id.load(std::memory_order_acquire) < 0) {
+    std::this_thread::yield();
+  }
+  int out_of_range = 0;
+  int shared = 0;
+  for (int i = 0; i < kChurned; ++i) {
+    int id = -1;
+    std::thread t([&id] { id = CurrentThreadId(); });
+    t.join();
+    out_of_range += (id < 0 || id >= kMaxThreads) ? 1 : 0;
+    shared += id == holder_id.load() ? 1 : 0;
+  }
+  release.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_EQ(out_of_range, 0);
+  EXPECT_EQ(shared, 0) << "churned threads given the live holder's id";
+}
+
+// One live thread more than there are ids: the one left without an id
+// aborts with a message instead of sharing another thread's. The child
+// starts kMaxThreads + 1 threads that each take an id and wait; if none
+// aborted, all of them would be released and the child would exit normally.
+TEST(CpuTest, MoreLiveThreadsThanIdsAborts) {
+  // "threadsafe" re-executes the binary, so the child runs only this test.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        std::atomic<int> holding{0};
+        std::atomic<bool> release{false};
+        std::vector<std::thread> threads;
+        for (int i = 0; i <= kMaxThreads; ++i) {
+          threads.emplace_back([&] {
+            CurrentThreadId();
+            holding.fetch_add(1);
+            while (!release.load()) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+          });
+        }
+        while (holding.load() <= kMaxThreads) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        release.store(true);
+        for (auto& t : threads) {
+          t.join();
+        }
+      },
+      "more than 256 threads are live at once");
 }
 
 }  // namespace

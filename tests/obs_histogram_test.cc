@@ -1,7 +1,8 @@
 // Unit tests for the mergeable per-thread latency histogram (src/obs/):
 // bucket math, percentile error bounds against an exact sorted-sample
 // oracle, merge associativity, clamping at the extremes of the uint64
-// range, reset semantics, and concurrent record/snapshot safety.
+// range, reset semantics, concurrent record/snapshot safety, and exact counts
+// across thread churn.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/cpu.h"
 #include "src/common/random.h"
 #include "src/obs/histogram.h"
 
@@ -200,6 +202,51 @@ TEST(HistogramConcurrentTest, RecordersAndSnapshotterDontRace) {
   stop.store(true, std::memory_order_release);
   snapshotter.join();
   EXPECT_EQ(h.Snapshot().Count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// Thread churn must not make two live threads share a shard. Thread A takes
+// an id and parks; 511 threads are then created and joined one at a time
+// (never more than three live); then B starts. Ids handed out by a plain
+// counter modulo kMaxThreads would give B exactly A's id here, and the
+// non-RMW shard increments of the two would lose records.
+TEST(HistogramConcurrentTest, CountsStayExactAcrossThreadChurn) {
+  constexpr int kChurned = 2 * kMaxThreads - 1;
+  constexpr std::uint64_t kPerThread = 200000;
+  Histogram h;
+  std::atomic<int> a_id{-1};
+  std::atomic<bool> go{false};
+  auto recorder = [&](std::atomic<int>* id_out) {
+    id_out->store(CurrentThreadId(), std::memory_order_release);
+    while (!go.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      h.Record(i);
+    }
+  };
+  std::thread a(recorder, &a_id);
+  while (a_id.load(std::memory_order_acquire) < 0) {
+    std::this_thread::yield();
+  }
+  Histogram churn;
+  for (int i = 0; i < kChurned; ++i) {
+    std::thread t([&churn] { churn.Record(static_cast<std::uint64_t>(CurrentThreadId())); });
+    t.join();
+  }
+  EXPECT_EQ(churn.Snapshot().Count(), static_cast<std::uint64_t>(kChurned));
+  EXPECT_LT(churn.Snapshot().max, static_cast<std::uint64_t>(kMaxThreads));
+
+  std::atomic<int> b_id{-1};
+  std::thread b(recorder, &b_id);
+  while (b_id.load(std::memory_order_acquire) < 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_NE(a_id.load(), b_id.load());
+  go.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_EQ(h.Snapshot().Count(), 2 * kPerThread);
+  EXPECT_EQ(h.Snapshot().sum, 2 * (kPerThread * (kPerThread - 1) / 2));
 }
 
 }  // namespace

@@ -68,6 +68,20 @@ class ServerProcess {
               const std::vector<std::string>& extra_args) {
     sock_path_ = sock_path;
     ::unlink(sock_path.c_str());
+    // argv is built before fork(): the child of a multithreaded process may
+    // only make async-signal-safe calls until execv, and an allocation there
+    // can block forever on an allocator lock some other thread held at fork.
+    std::vector<std::string> args = {KV_SERVER_BINARY, "--wal-dir=" + wal_dir,
+                                     "--fsync-policy=" + fsync_policy,
+                                     "--unix=" + sock_path, "--event-threads=2"};
+    for (const std::string& a : extra_args) {
+      args.push_back(a);
+    }
+    std::vector<char*> argv;
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    argv.push_back(nullptr);
     int out_pipe[2];
     ASSERT_EQ(::pipe(out_pipe), 0);
     pid_ = ::fork();
@@ -76,17 +90,6 @@ class ServerProcess {
       ::dup2(out_pipe[1], STDOUT_FILENO);
       ::close(out_pipe[0]);
       ::close(out_pipe[1]);
-      std::vector<std::string> args = {KV_SERVER_BINARY, "--wal-dir=" + wal_dir,
-                                       "--fsync-policy=" + fsync_policy,
-                                       "--unix=" + sock_path, "--event-threads=2"};
-      for (const std::string& a : extra_args) {
-        args.push_back(a);
-      }
-      std::vector<char*> argv;
-      for (std::string& a : args) {
-        argv.push_back(a.data());
-      }
-      argv.push_back(nullptr);
       ::execv(KV_SERVER_BINARY, argv.data());
       ::_exit(127);
     }
