@@ -430,19 +430,14 @@ class GeneralCuckooMap {
   // overwrite). Durability layers use this to assign a WAL sequence number
   // inside the critical section, so log order matches per-key table order
   // (two racing SETs on one key serialize identically in both).
-  template <typename KArg, typename VArg, typename Then>
-  InsertResult UpsertThen(KArg&& key, VArg&& value, Then&& then) {
-    return DoInsert(std::forward<KArg>(key), std::forward<VArg>(value),
-                    /*overwrite_existing=*/true, [](const V&) {},
-                    std::forward<Then>(then));
-  }
-
-  // UpsertThen that also exposes the value being replaced: on an overwrite,
-  // `on_old(const V& old)` runs under the pair guard immediately before the
-  // old value is destroyed (never on a fresh insert). Tiered stores use this
-  // to release external resources (e.g. value-log space) the old value
-  // referenced — reading it after the upsert would be too late, the slot
-  // has already been reassigned.
+  //
+  // On an overwrite, `on_old(V& old)` also runs under the pair guard,
+  // immediately before the old value is overwritten (never on a fresh
+  // insert). Tiered stores use this to release external resources (e.g.
+  // value-log space) the old value referenced — reading it after the upsert
+  // would be too late, the slot has already been reassigned. `on_old` may
+  // move the old value out, so that freeing it happens after the pair lock
+  // is released.
   template <typename KArg, typename VArg, typename OnOld, typename Then>
   InsertResult UpsertReplaceThen(KArg&& key, VArg&& value, OnOld&& on_old, Then&& then) {
     return DoInsert(std::forward<KArg>(key), std::forward<VArg>(value),
@@ -458,24 +453,24 @@ class GeneralCuckooMap {
     return EraseIf(key, [](const V&) { return true; });
   }
 
-  // Remove `key` only if `pred(const V&)` holds, atomically under the bucket
+  // Remove `key` only if `pred(V&)` holds, atomically under the bucket
   // locks (e.g. erase-if-still-expired for TTL caches). Returns true iff the
-  // entry was removed.
+  // entry was removed. A `pred` that returns true may move the value out
+  // first, so that freeing it happens after the pair lock is released.
   template <typename Pred>
   bool EraseIf(const K& key, Pred&& pred) {
     return EraseIfThen(key, std::forward<Pred>(pred), [] {});
   }
 
   // EraseIf, invoking `after()` under the bucket-pair lock right after the
-  // slot is destroyed (same WAL-ordering rationale as UpsertThen).
+  // slot is destroyed (same WAL-ordering rationale as UpsertReplaceThen).
   template <typename Pred, typename After>
   bool EraseIfThen(const K& key, Pred&& pred, After&& after) {
     const HashedKey h = HashedKey::From(hasher_(key));
     return WithPair(h, [&](const PairView& v, PairGuard& guard) {
       Locator loc;
       Core* where = nullptr;
-      if (!FindInView(v, h.tag, key, &where, &loc) ||
-          !pred(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot))) {
+      if (!FindInView(v, h.tag, key, &where, &loc) || !pred(where->Value(loc.bucket, loc.slot))) {
         guard.ReleaseNoModify();
         return false;
       }
@@ -803,9 +798,9 @@ class GeneralCuckooMap {
   }
 
   // `after(const V& stored)` runs under the pair guard at every point where
-  // the table was modified (overwrite or fresh construct) — see UpsertThen.
-  // `on_old(const V& old)` runs just before an overwrite destroys the
-  // previous value — see UpsertReplaceThen.
+  // the table was modified (overwrite or fresh construct); `on_old(V& old)`
+  // runs just before an overwrite replaces the previous value. See
+  // UpsertReplaceThen for both.
   template <typename KArg, typename VArg, typename OnOld, typename After>
   InsertResult DoInsert(KArg&& key, VArg&& value, bool overwrite_existing, OnOld&& on_old,
                         After&& after) {
@@ -830,7 +825,7 @@ class GeneralCuckooMap {
               if (overwrite_existing) {
                 // Overwrite in place, even when the slot still lives in the
                 // draining core — the migrator will carry the new value over.
-                on_old(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));
+                on_old(where->Value(loc.bucket, loc.slot));
                 where->Value(loc.bucket, loc.slot) = V(std::forward<VArg>(value));
                 stats_.RecordDuplicateInsert();
                 after(const_cast<const Core&>(*where).Value(loc.bucket, loc.slot));

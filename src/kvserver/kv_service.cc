@@ -1,6 +1,7 @@
 #include "src/kvserver/kv_service.h"
 
 #include <chrono>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -30,9 +31,36 @@ void AppendHistStats(const std::string& prefix, const obs::HistogramSnapshot& h,
 
 }  // namespace
 
+KvService::Entry::Entry(std::string_view data, const store::ValueLocation& loc,
+                        std::uint32_t flags, std::uint64_t cas_id, std::uint64_t expires_at) {
+  const bool tiered = loc.IsValid();
+  const std::size_t size = tiered ? sizeof(loc) : data.size();
+  block_ = static_cast<Header*>(::operator new(sizeof(Header) + size));
+  block_->cas_id = cas_id;
+  block_->expires_at = expires_at;
+  block_->flags = flags;
+  block_->size = static_cast<std::uint32_t>(size) | (tiered ? kTieredBit : 0);
+  std::memcpy(Payload(), tiered ? static_cast<const void*>(&loc) : data.data(), size);
+}
+
+KvService::Entry::Entry(const Entry& other) {
+  if (other.block_ != nullptr) {
+    block_ = static_cast<Header*>(::operator new(other.BlockBytes()));
+    std::memcpy(block_, other.block_, other.BlockBytes());
+  }
+}
+
+void KvService::Entry::DecodeTo(StoredValue* out) const {
+  out->data.assign(data());
+  out->flags = flags();
+  out->cas_id = cas_id();
+  out->expires_at = expires_at();
+  out->loc = loc();
+}
+
 KvService::KvService(Options opts)
     : store_([&] {
-        GeneralCuckooMap<std::string, StoredValue>::Options o;
+        StoreMap::Options o;
         o.initial_bucket_count_log2 = opts.initial_bucket_count_log2;
         o.auto_expand = opts.auto_expand;
         o.stripe_count = opts.stripe_count;
@@ -69,6 +97,36 @@ const char* KvService::CommandName(RequestType type) noexcept {
   return "unknown";
 }
 
+void KvService::ReapExpired(const std::string& key, std::uint64_t now) {
+  // Replicas never erase on expiry: the delete must come from the primary's
+  // WAL stream, or the local LSN sequence forks off the primary's.
+  if (ReadOnly()) {
+    return;
+  }
+  // Only if the entry is still the expired one: a concurrent fresh SET must
+  // not be deleted, so the predicate re-checks under the bucket locks. The
+  // delete is logged, so replay does not resurrect the entry, but not
+  // awaited: a get response makes no durability promise.
+  Entry dead;
+  if (store_.EraseIfThen(
+          key,
+          [&](Entry& value) {
+            if (!Expired(value, now)) {
+              return false;
+            }
+            dead = std::move(value);
+            return true;
+          },
+          [&] {
+            if (observer_ != nullptr) {
+              observer_->OnDelete(key);
+            }
+          })) {
+    Retire(dead);
+    expirations_.Increment();
+  }
+}
+
 KvService::ProcessStatus KvService::HandleGet(const Request& request, bool with_cas,
                                               std::string* out,
                                               std::shared_ptr<DeferredGet>* deferred) {
@@ -84,45 +142,23 @@ KvService::ProcessStatus KvService::HandleGet(const Request& request, bool with_
     // locks as hits land.
     std::vector<std::uint8_t> live(count, 0);
     std::vector<std::uint8_t> expired(count, 0);
-    store_.WithValueBatch(keys, count, [&](std::size_t i, const StoredValue& value) {
+    store_.WithValueBatch(keys, count, [&](std::size_t i, const Entry& value) {
       if (Expired(value, now)) {
         expired[i] = 1;
         return;
       }
       live[i] = 1;
       if (with_cas) {
-        AppendValueResponseWithCas(keys[i], value.flags, value.data, value.cas_id, out);
+        AppendValueResponseWithCas(keys[i], value.flags(), value.data(), value.cas_id(), out);
       } else {
-        AppendValueResponse(keys[i], value.flags, value.data, out);
+        AppendValueResponse(keys[i], value.flags(), value.data(), out);
       }
     });
-    // Replicas never erase on expiry: the delete must come from the primary's
-    // WAL stream, or the local LSN sequence forks off the primary's.
-    const bool reap_expired = !ReadOnly();
     for (std::size_t i = 0; i < count; ++i) {
-      if (reap_expired && expired[i] && !live[i]) {
-        // Lazy expiry: reclaim the slot, but only if the entry is still the
-        // expired one — a concurrent fresh Set must not be deleted. EraseIf
-        // re-checks under the bucket locks.
-        std::uint64_t lsn = 0;
-        if (store_.EraseIfThen(
-                keys[i], [&](const StoredValue& value) { return Expired(value, now); },
-                [&] {
-                  if (observer_ != nullptr) {
-                    lsn = observer_->OnDelete(keys[i]);
-                  }
-                })) {
-          expirations_.Increment();
-          // Logged (so replay does not resurrect the entry) but not awaited:
-          // a get response makes no durability promise.
-          (void)lsn;
-        }
+      if (expired[i]) {
+        ReapExpired(keys[i], now);
       }
-      if (live[i]) {
-        hits_.Increment();
-      } else {
-        misses_.Increment();
-      }
+      (live[i] ? hits_ : misses_).Increment();
     }
     AppendEnd(out);
     return ProcessStatus::kDone;
@@ -139,50 +175,25 @@ KvService::ProcessStatus KvService::HandleGet(const Request& request, bool with_
   for (std::size_t i = 0; i < count; ++i) {
     d->items[i].key = keys[i];
   }
-  store_.WithValueBatch(keys, count, [&](std::size_t i, const StoredValue& value) {
+  store_.WithValueBatch(keys, count, [&](std::size_t i, const Entry& value) {
     if (Expired(value, now)) {
       expired[i] = 1;
       return;
     }
     DeferredGet::Item& item = d->items[i];
     item.live = true;
-    item.flags = value.flags;
-    item.cas_id = value.cas_id;
+    item.flags = value.flags();
+    item.cas_id = value.cas_id();
     if (value.Tiered()) {
-      item.loc = value.loc;
+      item.loc = value.loc();
       item.need_fetch = true;
     } else {
-      item.data = value.data;
+      item.data.assign(value.data());
     }
   });
   for (std::size_t i = 0; i < count; ++i) {
-    if (ReadOnly() || !expired[i] || d->items[i].live) {
-      continue;  // replicas leave expiry to the primary's replicated delete
-    }
-    // Lazy expiry, tiered-aware: the predicate re-checks under the bucket
-    // locks and captures the victim's log location so its bytes count as
-    // garbage for GC.
-    std::uint64_t lsn = 0;
-    store::ValueLocation dead_loc{};
-    if (store_.EraseIfThen(
-            keys[i],
-            [&](const StoredValue& value) {
-              if (!Expired(value, now)) {
-                return false;
-              }
-              dead_loc = value.loc;
-              return true;
-            },
-            [&] {
-              if (observer_ != nullptr) {
-                lsn = observer_->OnDelete(keys[i]);
-              }
-            })) {
-      expirations_.Increment();
-      if (dead_loc.IsValid()) {
-        tier_->MarkDead(dead_loc);
-      }
-      (void)lsn;
+    if (expired[i]) {
+      ReapExpired(keys[i], now);
     }
   }
 
@@ -274,38 +285,35 @@ void KvService::FinishDeferred(DeferredGet& deferred, std::string* out) {
 }
 
 void KvService::HandleSet(const Request& request, std::string* out) {
-  StoredValue value;
-  value.flags = request.flags;
-  value.cas_id = next_cas_.fetch_add(1, std::memory_order_relaxed);
-  value.expires_at = DeadlineFor(request.exptime);
   const bool tiered = tier_ != nullptr && tier_->ShouldTier(request.data.size());
-  if (tiered) {
-    // Append the bytes BEFORE taking any bucket lock: log I/O must never run
-    // inside the table's critical sections. A crash between the append and
-    // the table mutation leaves an unreferenced record GC reclaims.
-    if (!tier_->AppendValue(request.key, request.data, &value.loc)) {
-      AppendServerError("vlog io error", out);
-      return;
-    }
-  } else {
-    value.data = request.data;
+  store::ValueLocation new_loc{};
+  // Append the bytes BEFORE taking any bucket lock: log I/O must never run
+  // inside the table's critical sections. A crash between the append and
+  // the table mutation leaves an unreferenced record GC reclaims.
+  if (tiered && !tier_->AppendValue(request.key, request.data, &new_loc)) {
+    AppendServerError("vlog io error", out);
+    return;
   }
-  const store::ValueLocation new_loc = value.loc;
-  const std::uint64_t new_cas = value.cas_id;
+  // The block is built here, outside the pair lock; only its handle moves in.
+  Entry entry(request.data, new_loc, request.flags,
+              next_cas_.fetch_add(1, std::memory_order_relaxed), DeadlineFor(request.exptime));
+  const std::uint64_t new_cas = entry.cas_id();
+  const std::size_t new_bytes = entry.BlockBytes();
+  StoredValue logged;  // the observer's exchange form, built only for it
+  if (observer_ != nullptr) {
+    entry.DecodeTo(&logged);
+  }
   std::uint64_t lsn = 0;
-  store::ValueLocation dead_loc{};
+  Entry replaced;
   InsertResult r = store_.UpsertReplaceThen(
-      std::string(request.key), std::move(value),
-      [&](const StoredValue& old) {
-        // Under the pair lock, just before the overwrite destroys the old
-        // value: remember its log location so those bytes become garbage.
-        dead_loc = old.loc;
-      },
-      [&](const StoredValue& stored) {
+      std::string(request.key), std::move(entry),
+      // Under the pair lock: take the old block so it is freed after unlock.
+      [&](Entry& old) { replaced = std::move(old); },
+      [&](const Entry&) {
         // Under the bucket-pair lock: the LSN the observer assigns here is
         // ordered exactly like the table mutation it describes.
         if (observer_ != nullptr) {
-          lsn = observer_->OnSet(request.key, stored);
+          lsn = observer_->OnSet(request.key, logged);
         }
       });
   if (r == InsertResult::kTableFull) {
@@ -315,9 +323,8 @@ void KvService::HandleSet(const Request& request, std::string* out) {
     AppendNotStored(out);
     return;
   }
-  if (tier_ != nullptr && dead_loc.IsValid()) {
-    tier_->MarkDead(dead_loc);
-  }
+  value_bytes_.Add(static_cast<std::int64_t>(new_bytes));
+  Retire(replaced);
   if (observer_ != nullptr && !observer_->WaitDurable(lsn)) {
     // Applied in memory but not durable (WAL in its sticky I/O-error state):
     // never ack what a restart would lose.
@@ -345,43 +352,39 @@ void KvService::HandleCas(const Request& request, std::string* out) {
       return;
     }
   }
+  // The replacement block is built outside the pair lock, as in HandleSet;
+  // a comparison that fails burns its cas id, which only has to be unique.
+  Entry fresh(request.data, new_loc, request.flags,
+              next_cas_.fetch_add(1, std::memory_order_relaxed), DeadlineFor(request.exptime));
+  const std::uint64_t new_cas = fresh.cas_id();
+  const std::size_t new_bytes = fresh.BlockBytes();
+  StoredValue logged;  // the observer's exchange form, built only for it
+  if (observer_ != nullptr) {
+    fresh.DecodeTo(&logged);
+  }
   enum class Outcome { kNotFound, kExists, kStored } outcome = Outcome::kNotFound;
   std::uint64_t lsn = 0;
-  std::uint64_t new_cas = 0;
-  store::ValueLocation dead_loc{};
-  store_.WithValueMut(request.key, [&](StoredValue& value) {
+  store_.WithValueMut(request.key, [&](Entry& value) {
     if (Expired(value, now)) {
       outcome = Outcome::kNotFound;  // expired counts as absent
       return;
     }
-    if (value.cas_id != request.cas_id) {
+    if (value.cas_id() != request.cas_id) {
       outcome = Outcome::kExists;
       return;
     }
-    dead_loc = value.loc;  // the replaced version's bytes become garbage
-    if (tiered) {
-      value.data.clear();
-      value.loc = new_loc;
-    } else {
-      value.data = request.data;
-      value.loc = store::ValueLocation{};
-    }
-    value.flags = request.flags;
-    value.expires_at = DeadlineFor(request.exptime);
-    value.cas_id = next_cas_.fetch_add(1, std::memory_order_relaxed);
-    new_cas = value.cas_id;
+    std::swap(value, fresh);  // `fresh` now holds the replaced block
     outcome = Outcome::kStored;
     // Log the RESOLVED state (an unconditional set) under the lock: replay
     // must not re-run the cas comparison against a different history.
     if (observer_ != nullptr) {
-      lsn = observer_->OnSet(request.key, value);
+      lsn = observer_->OnSet(request.key, logged);
     }
   });
   switch (outcome) {
     case Outcome::kStored:
-      if (tier_ != nullptr && dead_loc.IsValid()) {
-        tier_->MarkDead(dead_loc);
-      }
+      value_bytes_.Add(static_cast<std::int64_t>(new_bytes));
+      Retire(fresh);
       if (observer_ != nullptr && !observer_->WaitDurable(lsn)) {
         AppendServerError("wal io error", out);
         return;
@@ -411,14 +414,16 @@ void KvService::HandleTouch(const Request& request, std::string* out) {
   const std::uint64_t now = NowSeconds();
   bool touched = false;
   std::uint64_t lsn = 0;
-  store_.WithValueMut(request.key, [&](StoredValue& value) {
+  StoredValue logged;
+  store_.WithValueMut(request.key, [&](Entry& value) {
     if (Expired(value, now)) {
       return;
     }
-    value.expires_at = DeadlineFor(request.exptime);
+    value.set_expires_at(DeadlineFor(request.exptime));
     touched = true;
     if (observer_ != nullptr) {
-      lsn = observer_->OnSet(request.key, value);  // resolved full state
+      value.DecodeTo(&logged);
+      lsn = observer_->OnSet(request.key, logged);  // resolved full state
     }
   });
   if (touched) {
@@ -432,9 +437,62 @@ void KvService::HandleTouch(const Request& request, std::string* out) {
   }
 }
 
-bool KvService::RestoreEntry(std::string key, StoredValue value) {
+bool KvService::RestoreEntry(std::string key, const StoredValue& value) {
   AdvanceCasFloor(value.cas_id);
-  return store_.Upsert(std::move(key), std::move(value)) != InsertResult::kTableFull;
+  Entry entry(value);
+  const std::size_t new_bytes = entry.BlockBytes();
+  Entry replaced;
+  if (store_.UpsertReplaceThen(
+          std::move(key), std::move(entry), [&](Entry& old) { replaced = std::move(old); },
+          [](const Entry&) {}) == InsertResult::kTableFull) {
+    return false;
+  }
+  // Replay does not mark replaced log bytes dead; only the byte count moves.
+  value_bytes_.Add(static_cast<std::int64_t>(new_bytes) -
+                   static_cast<std::int64_t>(replaced.BlockBytes()));
+  return true;
+}
+
+bool KvService::RestoreErase(const std::string& key) {
+  Entry dead;
+  if (!store_.EraseIf(key, [&](Entry& value) {
+        dead = std::move(value);
+        return true;
+      })) {
+    return false;
+  }
+  value_bytes_.Add(-static_cast<std::int64_t>(dead.BlockBytes()));
+  return true;
+}
+
+void KvService::RestoreClear() {
+  std::int64_t bytes = 0;
+  store_.ForEach([&](const std::string&, const Entry& value) {
+    bytes += static_cast<std::int64_t>(value.BlockBytes());
+  });
+  store_.Clear();
+  value_bytes_.Add(-bytes);
+}
+
+bool KvService::TrySnapshotEntries(
+    const std::function<void(const std::string&, const StoredValue&)>& fn,
+    StoreMap::SnapshotWalkStats* stats) const {
+  // The walk hands out copies taken under the stripe locks; decoding them
+  // into one reused StoredValue adds no allocation per entry.
+  StoredValue scratch;
+  return store_.TrySnapshotBuckets(
+      [&](const std::string& key, const Entry& value) {
+        value.DecodeTo(&scratch);
+        fn(key, scratch);
+      },
+      /*lock_retries=*/8, stats);
+}
+
+void KvService::Retire(const Entry& dead) {
+  value_bytes_.Add(-static_cast<std::int64_t>(dead.BlockBytes()));
+  if (tier_ != nullptr && dead.Tiered()) {
+    tier_->MarkDead(dead.loc());
+  }
 }
 
 void KvService::AdvanceCasFloor(std::uint64_t cas_id) {
@@ -446,11 +504,11 @@ void KvService::AdvanceCasFloor(std::uint64_t cas_id) {
 
 void KvService::HandleDelete(const Request& request, std::string* out) {
   std::uint64_t lsn = 0;
-  store::ValueLocation dead_loc{};
+  Entry dead;
   if (store_.EraseIfThen(
           request.key,
-          [&](const StoredValue& value) {
-            dead_loc = value.loc;  // captured under the lock, like expiry
+          [&](Entry& value) {
+            dead = std::move(value);  // taken under the lock, like expiry
             return true;
           },
           [&] {
@@ -458,9 +516,7 @@ void KvService::HandleDelete(const Request& request, std::string* out) {
               lsn = observer_->OnDelete(request.key);
             }
           })) {
-    if (tier_ != nullptr && dead_loc.IsValid()) {
-      tier_->MarkDead(dead_loc);
-    }
+    Retire(dead);
     if (observer_ != nullptr && !observer_->WaitDurable(lsn)) {
       AppendServerError("wal io error", out);
       return;
@@ -478,7 +534,7 @@ store::TieredStore::RelocateResult KvService::RelocateTiered(
   // dead, and the probe avoids appending bytes that would immediately be
   // garbage. The racy window is closed by the re-check under the lock below.
   bool maybe_live = false;
-  store_.WithValue(key, [&](const StoredValue& value) { maybe_live = value.loc == old_loc; });
+  store_.WithValue(key, [&](const Entry& value) { maybe_live = value.loc() == old_loc; });
   if (!maybe_live) {
     return store::TieredStore::RelocateResult::kDead;
   }
@@ -488,17 +544,19 @@ store::TieredStore::RelocateResult KvService::RelocateTiered(
   }
   bool relocated = false;
   std::uint64_t lsn = 0;
-  store_.WithValueMut(key, [&](StoredValue& value) {
-    if (value.loc != old_loc) {
+  StoredValue logged;
+  store_.WithValueMut(key, [&](Entry& value) {
+    if (value.loc() != old_loc) {
       return;  // overwritten/deleted since the probe — record is dead
     }
-    value.loc = new_loc;
+    value.set_loc(new_loc);
     relocated = true;
     // Same observer path as any set: replay learns the new location. The
     // cas id is unchanged — the value is byte-identical, so hot-cache
     // entries stay servable across the move.
     if (observer_ != nullptr) {
-      lsn = observer_->OnSet(key, value);
+      value.DecodeTo(&logged);
+      lsn = observer_->OnSet(key, logged);
     }
   });
   if (!relocated) {
@@ -616,6 +674,10 @@ void KvService::HandleStats(const Request& request, std::string* response_out) {
   AppendStat("cmd_set", static_cast<std::uint64_t>(sets_.Sum()), response_out);
   AppendStat("cmd_delete", static_cast<std::uint64_t>(deletes_.Sum()), response_out);
   AppendStat("expired_unfetched", Expirations(), response_out);
+  // Memory the store holds: bucket arrays (key + 8-byte handle per slot) and
+  // the value blocks the handles own. See docs/server.md "Stored entry layout".
+  AppendStat("table_bytes", static_cast<std::uint64_t>(TableBytes()), response_out);
+  AppendStat("value_bytes", ValueBytes(), response_out);
   // Table-level observability: the MapStatsSnapshot counters that tell
   // an operator whether the serving layer stresses the cuckoo paths.
   const MapStatsSnapshot table = store_.Stats();
@@ -742,6 +804,12 @@ void KvService::AppendSlowlogStats(std::string* out) const {
 void KvService::AppendMetricsText(std::string* out) const {
   obs::AppendGauge("cuckoo_kv_items", "Live entries in the store.",
                    static_cast<double>(ItemCount()), out);
+  obs::AppendGauge("cuckoo_kv_table_bytes",
+                   "Committed bucket-array bytes (key + 8-byte value handle per slot).",
+                   static_cast<double>(TableBytes()), out);
+  obs::AppendGauge("cuckoo_kv_value_bytes",
+                   "Bytes of the value blocks (header + value or location) entries own.",
+                   static_cast<double>(ValueBytes()), out);
   obs::AppendCounter("cuckoo_kv_get_hits_total", "get keys served from the table.",
                      GetHits(), out);
   obs::AppendCounter("cuckoo_kv_get_misses_total", "get keys not found (or expired).",

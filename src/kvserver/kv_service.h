@@ -13,10 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/per_thread_counter.h"
@@ -34,12 +36,11 @@ class KvService {
   // TTLs (memcached's REALTIME_MAXDELTA, 30 days in seconds).
   static constexpr std::uint32_t kMaxRelativeExptime = 60 * 60 * 24 * 30;
 
-  // The stored record for one key. Public so the durability layer (WAL,
-  // snapshots, recovery) can serialize and restore entries verbatim.
-  // With a tiered store attached, values at/above the tiering threshold
-  // keep `data` empty and carry a value-log location instead — the table
-  // entry is then a 16-byte index record, which is what lets the dataset
-  // outgrow RAM.
+  // The exchange form of one key's record: what the durability layer (WAL,
+  // snapshots, recovery) serializes and restores verbatim. With a tiered
+  // store attached, values at/above the tiering threshold keep `data` empty
+  // and carry a value-log location instead, which is what lets the dataset
+  // outgrow RAM. The table itself stores the compact Entry below.
   struct StoredValue {
     std::string data;
     std::uint32_t flags = 0;
@@ -50,7 +51,83 @@ class KvService {
     bool Tiered() const noexcept { return loc.IsValid(); }
   };
 
-  using StoreMap = GeneralCuckooMap<std::string, StoredValue>;
+  // The served slot's value: one owning 8-byte handle to a single heap
+  // block [Header | payload]. The payload is the value bytes, or for a
+  // tiered value its ValueLocation, marked by kTieredBit in Header::size.
+  // The service builds every block before it takes a pair lock, moves only
+  // the handle in, and moves replaced or erased blocks out under the lock so
+  // they are freed after it is released (docs/server.md, "Stored entry
+  // layout"). Once the lock is released, no occupied slot holds a null
+  // (default-constructed or moved-from) handle.
+  class Entry {
+   public:
+    Entry() noexcept = default;
+    // The payload is `loc` when it is valid, else `data`.
+    Entry(std::string_view data, const store::ValueLocation& loc, std::uint32_t flags,
+          std::uint64_t cas_id, std::uint64_t expires_at);
+    explicit Entry(const StoredValue& v) : Entry(v.data, v.loc, v.flags, v.cas_id, v.expires_at) {}
+    Entry(const Entry& other);
+    Entry(Entry&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+    Entry& operator=(Entry other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~Entry() { ::operator delete(block_); }
+
+    // Decoding copies the value bytes. The service uses DecodeTo into a
+    // reused StoredValue, and only where an observer or the snapshot walk
+    // needs the exchange form; the implicit conversion serves callers that
+    // read the table as StoredValue directly (the benchmark's table ladder).
+    void DecodeTo(StoredValue* out) const;
+    operator StoredValue() const {  // NOLINT(google-explicit-constructor)
+      StoredValue v;
+      DecodeTo(&v);
+      return v;
+    }
+
+    std::uint32_t flags() const noexcept { return block_->flags; }
+    std::uint64_t cas_id() const noexcept { return block_->cas_id; }
+    std::uint64_t expires_at() const noexcept { return block_->expires_at; }
+    bool Tiered() const noexcept { return block_ != nullptr && (block_->size & kTieredBit) != 0; }
+    // Inline value bytes (empty for a tiered value).
+    std::string_view data() const noexcept {
+      return Tiered() ? std::string_view() : std::string_view(Payload(), block_->size);
+    }
+    // Value-log location (invalid for an inline value).
+    store::ValueLocation loc() const noexcept {
+      store::ValueLocation loc{};
+      if (Tiered()) {
+        std::memcpy(&loc, Payload(), sizeof(loc));
+      }
+      return loc;
+    }
+    // Bytes of the heap block this handle owns (0 for a null handle).
+    std::size_t BlockBytes() const noexcept {
+      return block_ == nullptr ? 0 : sizeof(Header) + (block_->size & ~kTieredBit);
+    }
+
+    void set_expires_at(std::uint64_t expires_at) noexcept { block_->expires_at = expires_at; }
+    // Swing a tiered value to a new location (same payload size, in place).
+    void set_loc(const store::ValueLocation& loc) noexcept {
+      std::memcpy(Payload(), &loc, sizeof(loc));
+    }
+
+   private:
+    static constexpr std::uint32_t kTieredBit = 0x80000000u;
+    struct Header {
+      std::uint64_t cas_id;
+      std::uint64_t expires_at;  // absolute seconds; 0 = never
+      std::uint32_t flags;
+      std::uint32_t size;  // payload bytes | kTieredBit
+    };
+    char* Payload() const noexcept { return reinterpret_cast<char*>(block_ + 1); }
+
+    Header* block_ = nullptr;
+  };
+
+  static_assert(sizeof(Entry) == 8, "a served slot holds the key plus one 8-byte handle");
+
+  using StoreMap = GeneralCuckooMap<std::string, Entry>;
 
   // Durability hook. OnSet/OnDelete are invoked INSIDE the table's
   // bucket-pair critical section at the instant the mutation is applied, so
@@ -273,17 +350,17 @@ class KvService {
   // Apply a snapshot/WAL record directly: upsert the entry verbatim and
   // advance the cas floor past its cas id. Returns false only if the table
   // refused the insert (auto_expand disabled and full).
-  bool RestoreEntry(std::string key, StoredValue value);
+  bool RestoreEntry(std::string key, const StoredValue& value);
 
   // Apply a logged delete. Missing keys are fine (idempotent replay).
-  bool RestoreErase(const std::string& key) { return store_.Erase(key); }
+  bool RestoreErase(const std::string& key);
 
   // Ensure future cas ids are strictly greater than `cas_id`.
   void AdvanceCasFloor(std::uint64_t cas_id);
 
   // Drop everything (recovery retry after a partially loaded corrupt
   // snapshot). Exclusive; only call before serving traffic.
-  void RestoreClear() { store_.Clear(); }
+  void RestoreClear();
 
   // ----- Online snapshot (fuzzy walk; writers keep running) -----------------
 
@@ -291,10 +368,9 @@ class KvService {
   // TrySnapshotBuckets): `fn` sees each live entry at least once, copies
   // taken under per-bucket locks only. Returns false if a table expansion
   // interrupted the walk — the caller discards partial output and retries.
+  // `fn` sees one reused StoredValue, valid only for the duration of a call.
   bool TrySnapshotEntries(const std::function<void(const std::string&, const StoredValue&)>& fn,
-                          StoreMap::SnapshotWalkStats* stats = nullptr) const {
-    return store_.TrySnapshotBuckets(fn, /*lock_retries=*/8, stats);
-  }
+                          StoreMap::SnapshotWalkStats* stats = nullptr) const;
 
   std::size_t ItemCount() const noexcept { return store_.Size(); }
   std::uint64_t GetHits() const noexcept { return static_cast<std::uint64_t>(hits_.Sum()); }
@@ -303,6 +379,12 @@ class KvService {
     return static_cast<std::uint64_t>(expirations_.Sum());
   }
   MapStatsSnapshot StoreStats() const { return store_.Stats(); }
+  // Memory the store holds: the committed bucket arrays (slots hold the key
+  // and the Entry handle) and the live value blocks the handles own.
+  std::size_t TableBytes() const { return store_.HeapBytes(); }
+  std::uint64_t ValueBytes() const noexcept {
+    return static_cast<std::uint64_t>(value_bytes_.Sum());
+  }
 
  private:
   std::uint64_t NowSeconds() const { return clock_(); }
@@ -318,9 +400,15 @@ class KvService {
     }
     return NowSeconds() + exptime;
   }
-  bool Expired(const StoredValue& value, std::uint64_t now) const {
-    return value.expires_at != 0 && value.expires_at <= now;
+  bool Expired(const Entry& value, std::uint64_t now) const {
+    return value.expires_at() != 0 && value.expires_at() <= now;
   }
+  // Lazy expiry of a key a GET found expired.
+  void ReapExpired(const std::string& key, std::uint64_t now);
+  // Account for a block the table no longer references (overwritten or
+  // erased) and turn its value-log bytes into garbage. Called after the pair
+  // lock is released; the caller's scope frees the block.
+  void Retire(const Entry& dead);
 
   ProcessStatus HandleGet(const Request& request, bool with_cas, std::string* out,
                           std::shared_ptr<DeferredGet>* deferred);
@@ -362,6 +450,7 @@ class KvService {
   PerThreadCounter sets_;
   PerThreadCounter deletes_;
   PerThreadCounter expirations_;
+  PerThreadCounter value_bytes_;  // sum of BlockBytes() over stored entries
   obs::Histogram cmd_ns_[kCommandKinds];  // end-to-end Process() latency
   obs::Slowlog slowlog_;
 };

@@ -105,41 +105,16 @@ bool DurabilityManager::ApplyReplicated(const WalRecord& record, std::string* er
     }
     return false;
   }
-  switch (record.type) {
-    case WalRecord::Type::kSet: {
-      KvService::StoredValue value;
-      value.data = record.data;
-      value.flags = record.flags;
-      value.cas_id = record.cas_id;
-      value.expires_at = record.expires_at;
-      service_->RestoreEntry(record.key, std::move(value));
-      break;
-    }
-    case WalRecord::Type::kSetTiered: {
-      // The primary normally rewrites tiered records to inline sets before
-      // streaming; one arriving verbatim means the primary could not read
-      // the value back (GC relocated it). The relocation record — at a
-      // higher LSN, already behind this one in the stream — re-delivers the
-      // value, so skipping here converges. The location itself only makes
-      // sense if this replica happens to share a value log (it never does in
-      // production, but a local-process test tier can).
-      KvService::StoredValue value;
-      value.flags = record.flags;
-      value.cas_id = record.cas_id;
-      value.expires_at = record.expires_at;
-      store::TieredStore* tier = service_->tier();
-      if (!store::DecodeValueLocation(record.data, &value.loc) || tier == nullptr ||
-          !tier->ValidLocation(value.loc)) {
-        service_->AdvanceCasFloor(record.cas_id);
-        replica_skipped_tiered_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      service_->RestoreEntry(record.key, std::move(value));
-      break;
-    }
-    case WalRecord::Type::kDelete:
-      service_->RestoreErase(record.key);
-      break;
+  // The primary normally rewrites tiered records to inline sets before
+  // streaming; one arriving verbatim means the primary could not read the
+  // value back (GC relocated it). The relocation record — at a higher LSN,
+  // already behind this one in the stream — re-delivers the value, so
+  // skipping it converges. The location itself only makes sense if this
+  // replica happens to share a value log (it never does in production, but
+  // a local-process test tier can).
+  thread_local KvService::StoredValue scratch;  // reused by the stream thread
+  if (!ApplyWalRecord(record, service_, &scratch)) {
+    replica_skipped_tiered_.fetch_add(1, std::memory_order_relaxed);
   }
   replica_applied_records_.fetch_add(1, std::memory_order_relaxed);
   return true;

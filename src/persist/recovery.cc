@@ -11,6 +11,31 @@
 namespace cuckoo {
 namespace persist {
 
+bool ApplyWalRecord(const WalRecord& record, KvService* service,
+                    KvService::StoredValue* scratch) {
+  if (record.type == WalRecord::Type::kDelete) {
+    service->RestoreErase(record.key);
+    return true;
+  }
+  scratch->flags = record.flags;
+  scratch->cas_id = record.cas_id;
+  scratch->expires_at = record.expires_at;
+  scratch->loc = store::ValueLocation{};
+  if (record.type == WalRecord::Type::kSet) {
+    scratch->data.assign(record.data);
+  } else {
+    scratch->data.clear();
+    store::TieredStore* tier = service->tier();
+    if (!store::DecodeValueLocation(record.data, &scratch->loc) || tier == nullptr ||
+        !tier->ValidLocation(scratch->loc)) {
+      service->AdvanceCasFloor(record.cas_id);
+      return false;
+    }
+  }
+  service->RestoreEntry(record.key, *scratch);
+  return true;
+}
+
 bool RecoverKvService(const std::string& dir, KvService* service, RecoveryStats* stats,
                       std::string* error) {
   if (!EnsureDir(dir)) {
@@ -43,35 +68,16 @@ bool RecoverKvService(const std::string& dir, KvService* service, RecoveryStats*
   // 2. Replay the log past the snapshot.
   WalReplayStats replay;
   const std::uint64_t start_lsn = stats->snapshot_lsn + 1;
+  KvService::StoredValue scratch;
   const bool ok = ReplayWal(
       dir, start_lsn, /*truncate_torn_tail=*/true,
       [&](const WalRecord& record) {
-        if (record.type == WalRecord::Type::kSet) {
-          KvService::StoredValue value;
-          value.data = record.data;
-          value.flags = record.flags;
-          value.cas_id = record.cas_id;
-          value.expires_at = record.expires_at;
-          service->RestoreEntry(record.key, std::move(value));
-        } else if (record.type == WalRecord::Type::kSetTiered) {
-          KvService::StoredValue value;
-          value.flags = record.flags;
-          value.cas_id = record.cas_id;
-          value.expires_at = record.expires_at;
-          store::TieredStore* tier = service->tier();
-          if (!store::DecodeValueLocation(record.data, &value.loc) || tier == nullptr ||
-              !tier->ValidLocation(value.loc)) {
-            // The value bytes never made it to the log (torn off its tail, a
-            // crash between the vlog append fsync and the WAL fsync) — this
-            // write was never acked, so keeping the PRIOR state of the key is
-            // correct. Only the cas floor advances past the lost record.
-            service->AdvanceCasFloor(record.cas_id);
-            ++stats->tiered_records_skipped;
-            return;
-          }
-          service->RestoreEntry(record.key, std::move(value));
-        } else {
-          service->RestoreErase(record.key);
+        if (!ApplyWalRecord(record, service, &scratch)) {
+          // The value bytes never made it to the log (torn off its tail, a
+          // crash between the vlog append fsync and the WAL fsync) — this
+          // write was never acked, so keeping the PRIOR state of the key is
+          // correct.
+          ++stats->tiered_records_skipped;
         }
       },
       &replay, error);

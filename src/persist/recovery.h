@@ -44,6 +44,15 @@ struct RecoveryStats {
   std::uint64_t next_lsn = 1;  // seed for WriteAheadLog::Open
 };
 
+struct WalRecord;
+
+// Apply one logged mutation (WAL replay and replica apply): set ->
+// RestoreEntry, delete -> RestoreErase, decoding into the reused `scratch`.
+// A tiered set whose location no longer names value-log bytes only advances
+// the cas floor and returns false.
+bool ApplyWalRecord(const WalRecord& record, KvService* service,
+                    KvService::StoredValue* scratch);
+
 // Rebuild `service` from the durability files in `dir` (created if missing).
 // `service` must be fresh and unserved. Returns false with *error on
 // unrecoverable corruption or I/O failure.

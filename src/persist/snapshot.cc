@@ -127,24 +127,24 @@ std::vector<std::pair<std::uint64_t, std::string>> ListSnapshots(const std::stri
   return out;
 }
 
-bool WriteKvSnapshot(const KvService& service, const std::string& dir,
-                     const std::function<std::uint64_t()>& lsn_provider, int max_attempts,
-                     SnapshotWriteStats* stats, std::string* error) {
-  if (!EnsureDir(dir)) {
-    return Fail(error, "cannot create snapshot dir " + dir);
-  }
-  const std::string tmp_path = dir + "/snap.tmp";
+namespace {
+
+// One snapshot file at `path`, from a fuzzy walk retried while expansions
+// interrupt it. With `inline_tiered`, tiered entries are read back from the
+// value log and written as plain entries (replica bootstrap).
+bool WriteSnapshotFile(const KvService& service, const std::string& path,
+                       const std::function<std::uint64_t()>& lsn_provider, int max_attempts,
+                       bool inline_tiered, SnapshotWriteStats* stats, std::string* error) {
+  store::TieredStore* tier = service.tier();
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (stats != nullptr) {
-      ++stats->attempts;
-    }
+    ++stats->attempts;
     // Sample S before the walk starts: every mutation with lsn <= S is
     // already committed under a bucket lock the walk will synchronize with.
     const std::uint64_t wal_lsn = lsn_provider ? lsn_provider() : 0;
 
     AppendFile file;
-    if (!file.Open(tmp_path, /*truncate=*/true)) {
-      return Fail(error, "cannot open " + tmp_path);
+    if (!file.Open(path, /*truncate=*/true)) {
+      return Fail(error, "cannot open " + path);
     }
     std::string buf;
     buf.reserve(1u << 20);
@@ -157,12 +157,26 @@ bool WriteKvSnapshot(const KvService& service, const std::string& dir,
     std::uint64_t max_cas = 0;
     bool io_ok = true;
     KvService::StoreMap::SnapshotWalkStats walk;
+    KvService::StoredValue inlined;  // reused across entries
     const bool complete = service.TrySnapshotEntries(
         [&](const std::string& key, const KvService::StoredValue& value) {
           if (!io_ok) {
             return;
           }
-          EncodeEntry(key, value, &buf);
+          const KvService::StoredValue* entry = &value;
+          if (inline_tiered && value.Tiered()) {
+            inlined = value;
+            inlined.loc = store::ValueLocation{};
+            // A failed read means GC moved the record after our bucket copy;
+            // that relocation's WAL record (lsn > wal_lsn) re-delivers the
+            // value on the stream, so skipping here cannot lose data.
+            if (tier == nullptr ||
+                !tier->ReadValue(key, value.loc, value.cas_id, &inlined.data)) {
+              return;
+            }
+            entry = &inlined;
+          }
+          EncodeEntry(key, *entry, &buf);
           ++entries;
           max_cas = std::max(max_cas, value.cas_id);
           if (buf.size() >= (1u << 20)) {
@@ -172,7 +186,7 @@ bool WriteKvSnapshot(const KvService& service, const std::string& dir,
         },
         &walk);
     if (!io_ok) {
-      return Fail(error, "write error on " + tmp_path);
+      return Fail(error, "write error on " + path);
     }
     if (!complete) {
       continue;  // table expansion mid-walk; rewind and retry
@@ -184,98 +198,45 @@ bool WriteKvSnapshot(const KvService& service, const std::string& dir,
     AppendPod(&footer, max_cas);
     FrameRecord(footer, &buf);
     if (!file.Append(buf) || !file.Sync()) {
-      return Fail(error, "write error on " + tmp_path);
+      return Fail(error, "write error on " + path);
     }
-    const std::uint64_t bytes = file.Size();
-    file.Close();
-    const std::string final_path = dir + "/" + internal::SnapshotFileName(wal_lsn);
-    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0 || !SyncDir(dir)) {
-      return Fail(error, "cannot publish " + final_path);
-    }
-    if (stats != nullptr) {
-      stats->entries = entries;
-      stats->wal_lsn = wal_lsn;
-      stats->bytes = bytes;
-      stats->walk = walk;
-    }
+    stats->entries = entries;
+    stats->wal_lsn = wal_lsn;
+    stats->bytes = file.Size();
+    stats->walk = walk;
     return true;
   }
   return Fail(error, "snapshot walk interrupted by expansion on every attempt");
 }
 
+}  // namespace
+
+bool WriteKvSnapshot(const KvService& service, const std::string& dir,
+                     const std::function<std::uint64_t()>& lsn_provider, int max_attempts,
+                     SnapshotWriteStats* stats, std::string* error) {
+  if (!EnsureDir(dir)) {
+    return Fail(error, "cannot create snapshot dir " + dir);
+  }
+  SnapshotWriteStats local;
+  SnapshotWriteStats* s = stats != nullptr ? stats : &local;
+  const std::string tmp_path = dir + "/snap.tmp";
+  if (!WriteSnapshotFile(service, tmp_path, lsn_provider, max_attempts,
+                         /*inline_tiered=*/false, s, error)) {
+    return false;
+  }
+  const std::string final_path = dir + "/" + internal::SnapshotFileName(s->wal_lsn);
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0 || !SyncDir(dir)) {
+    return Fail(error, "cannot publish " + final_path);
+  }
+  return true;
+}
+
 bool WriteReplicaSnapshot(const KvService& service, const std::string& file_path,
                           const std::function<std::uint64_t()>& lsn_provider,
                           int max_attempts, SnapshotWriteStats* stats, std::string* error) {
-  store::TieredStore* tier = service.tier();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (stats != nullptr) {
-      ++stats->attempts;
-    }
-    const std::uint64_t wal_lsn = lsn_provider ? lsn_provider() : 0;
-
-    AppendFile file;
-    if (!file.Open(file_path, /*truncate=*/true)) {
-      return Fail(error, "cannot open " + file_path);
-    }
-    std::string buf;
-    buf.reserve(1u << 20);
-    buf.append(internal::kKvSnapMagic, sizeof(internal::kKvSnapMagic));
-    AppendPod(&buf, internal::kKvSnapVersion);
-    AppendPod(&buf, std::uint32_t{0});  // flags
-    AppendPod(&buf, wal_lsn);
-
-    std::uint64_t entries = 0;
-    std::uint64_t max_cas = 0;
-    bool io_ok = true;
-    KvService::StoreMap::SnapshotWalkStats walk;
-    const bool complete = service.TrySnapshotEntries(
-        [&](const std::string& key, const KvService::StoredValue& value) {
-          if (!io_ok) {
-            return;
-          }
-          KvService::StoredValue inlined = value;
-          if (value.Tiered()) {
-            inlined.loc = store::ValueLocation{};
-            // A failed read means GC moved the record after our bucket copy;
-            // that relocation's WAL record (lsn > wal_lsn) re-delivers the
-            // value on the stream, so skipping here cannot lose data.
-            if (tier == nullptr ||
-                !tier->ReadValue(key, value.loc, value.cas_id, &inlined.data)) {
-              return;
-            }
-          }
-          EncodeEntry(key, inlined, &buf);
-          ++entries;
-          max_cas = std::max(max_cas, value.cas_id);
-          if (buf.size() >= (1u << 20)) {
-            io_ok = file.Append(buf);
-            buf.clear();
-          }
-        },
-        &walk);
-    if (!io_ok) {
-      return Fail(error, "write error on " + file_path);
-    }
-    if (!complete) {
-      continue;  // table expansion mid-walk; rewind and retry
-    }
-    std::string footer;
-    AppendPod(&footer, internal::kFooterRecord);
-    AppendPod(&footer, entries);
-    AppendPod(&footer, max_cas);
-    FrameRecord(footer, &buf);
-    if (!file.Append(buf) || !file.Sync()) {
-      return Fail(error, "write error on " + file_path);
-    }
-    if (stats != nullptr) {
-      stats->entries = entries;
-      stats->wal_lsn = wal_lsn;
-      stats->bytes = file.Size();
-      stats->walk = walk;
-    }
-    return true;
-  }
-  return Fail(error, "snapshot walk interrupted by expansion on every attempt");
+  SnapshotWriteStats local;
+  return WriteSnapshotFile(service, file_path, lsn_provider, max_attempts,
+                           /*inline_tiered=*/true, stats != nullptr ? stats : &local, error);
 }
 
 bool LoadKvSnapshot(const std::string& path, KvService* service, SnapshotLoadStats* stats,
@@ -303,6 +264,7 @@ bool LoadKvSnapshot(const std::string& path, KvService* service, SnapshotLoadSta
   std::uint64_t entries = 0;
   std::uint64_t max_cas = 0;
   bool saw_footer = false;
+  KvService::StoredValue value;  // reused across entries
   while (pos < bytes.size()) {
     std::string_view payload;
     if (!DecodeFrame(bytes, &pos, &payload)) {
@@ -318,7 +280,8 @@ bool LoadKvSnapshot(const std::string& path, KvService* service, SnapshotLoadSta
       if (saw_footer) {
         return Fail(error, "snapshot entry after footer in " + path);
       }
-      KvService::StoredValue value;
+      value.data.clear();
+      value.loc = store::ValueLocation{};
       std::uint32_t klen = 0;
       std::uint32_t dlen = 0;
       if (!ReadPod(pstr, &p, &value.flags) || !ReadPod(pstr, &p, &value.cas_id) ||
@@ -345,9 +308,9 @@ bool LoadKvSnapshot(const std::string& path, KvService* service, SnapshotLoadSta
           continue;
         }
       } else {
-        value.data = pstr.substr(p + klen, dlen);
+        value.data.assign(pstr, p + klen, dlen);
       }
-      if (!service->RestoreEntry(std::move(key), std::move(value))) {
+      if (!service->RestoreEntry(std::move(key), value)) {
         return Fail(error, "table rejected snapshot entry from " + path);
       }
     } else if (type == internal::kFooterRecord) {

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/file_util.h"
+#include "src/persist/wal.h"
 #include "tests/process_harness.h"
 
 namespace cuckoo {
@@ -374,12 +376,15 @@ TEST(ReplFailoverTest, ReplicaBootstrapsViaFullSyncAfterWalGc) {
   }
   // Snapshot + segment GC: with no replica connected there is no holdback,
   // so every sealed segment (including the one holding LSN 1) is removed.
+  // A replica that connected before GC would resume by SYNC from LSN 1 and
+  // never need the FULLSYNC under test, so wait until that segment is gone.
   ASSERT_EQ(load.Roundtrip("bgsave\r\n", "\r\n"), "OK\r\n");
   bool gc_done = false;
   for (int spin = 0; spin < 1000 && !gc_done; ++spin) {
     gc_done = true;
     for (const std::string& name : ListFilesWithPrefix(pwal, "wal-")) {
-      gc_done &= name != "wal-1.log";
+      std::uint64_t first_lsn = 0;
+      gc_done &= !(persist::internal::ParseSegmentName(name, &first_lsn) && first_lsn == 1);
     }
     if (!gc_done) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -392,18 +397,19 @@ TEST(ReplFailoverTest, ReplicaBootstrapsViaFullSyncAfterWalGc) {
   ServerProcess replica(
       dir.path + "/rwal", rsock, "always",
       {"--replicaof=127.0.0.1:" + std::to_string(primary.tcp_port())});
-  ASSERT_TRUE(WaitForKey(rsock, "key399", ValueFor(399)));
-  Client reader(rsock);
-  for (int i = 0; i < 400; i += 17) {
-    EXPECT_EQ(reader.Get("key" + std::to_string(i)), ValueFor(i));
-  }
-  // Converged data is visible the moment the snapshot swap lands, slightly
-  // before the client bumps its bootstrap counters — wait, don't sample.
+  // The replica loads the snapshot into its live table entry by entry, in
+  // bucket order, and bumps both bootstrap counters only once the load is
+  // complete: until then one key being present says nothing about another.
   EXPECT_GE(WaitForStat(rsock, "repl_client_full_syncs",
                         [](long long v) { return v >= 1; }),
             1);
   EXPECT_GE(WaitForStat(rsock, "replica_resyncs", [](long long v) { return v >= 1; }),
             1);
+  ASSERT_TRUE(WaitForKey(rsock, "key399", ValueFor(399)));
+  Client reader(rsock);
+  for (int i = 0; i < 400; i += 17) {
+    EXPECT_EQ(reader.Get("key" + std::to_string(i)), ValueFor(i));
+  }
   Client pstats(psock);
   EXPECT_GE(StatValue(pstats.Roundtrip("stats\r\n", "END\r\n"), "repl_full_syncs"), 1);
 
